@@ -11,15 +11,13 @@ use std::rc::Rc;
 
 use graph::{gcn_adjacency, Csr, Gcn};
 use nn::loss::{kl_div, kl_div_value, mse};
-use nn::{Activation, Adam, Autoencoder, Params};
+use nn::{Activation, Autoencoder, Params};
 use rand::rngs::StdRng;
 use rand::Rng;
-use tabledc::target_distribution;
+use tabledc::{target_distribution, Objective};
 use tensor::Matrix;
 
-use crate::common::{
-    kmeans_centers, student_t_assignments, train_step, ClusterOutput, DeepConfig, EpochObserver,
-};
+use crate::common::{kmeans_centers, student_t_assignments, ClusterOutput, DeepConfig};
 
 /// DCRN model configuration.
 #[derive(Debug, Clone)]
@@ -60,74 +58,56 @@ impl Dcrn {
         let z0 = ae.embed(&params, x);
         let centers = params.register(kmeans_centers(&z0, k, rng));
 
-        let mut adam = Adam::new(cfg.lr);
-        let mut out = ClusterOutput::from_labels(vec![0; x.rows()]);
-        let mut final_q = Matrix::zeros(x.rows(), k);
-
-        let mut observer = EpochObserver::new("dcrn", k);
-        for epoch in 0..cfg.epochs {
-            // Two feature-dropout views (the siamese augmentation).
-            let view = |r: &mut StdRng| {
+        let latent = cfg.latent_dim;
+        let trained = cfg.trainer("dcrn", k, Some(centers)).run(&mut params, |t, bound, _| {
+            // Two feature-dropout views (the siamese augmentation), drawn
+            // afresh every epoch.
+            let mut view = || {
                 let mut v = x.clone();
                 for val in v.as_mut_slice() {
-                    if r.gen::<f64>() < self.dropout {
+                    if rng.gen::<f64>() < self.dropout {
                         *val = 0.0;
                     }
                 }
                 v
             };
-            let x1 = view(rng);
-            let x2 = view(rng);
+            let x1 = view();
+            let x2 = view();
 
-            let adj = adj.clone();
-            let ae_ref = &ae;
-            let gcn_ref = &gcn;
-            let latent = cfg.latent_dim;
-            let mut q_val = Matrix::zeros(1, 1);
-            let mut re_val = 0.0;
-            let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, |t, bound| {
-                let xv = t.constant(x.clone());
-                let x1v = t.constant(x1.clone());
-                let x2v = t.constant(x2.clone());
+            let xv = t.constant(x.clone());
+            let x1v = t.constant(x1);
+            let x2v = t.constant(x2);
 
-                let z1 = t.add(ae_ref.encode(bound, x1v), gcn_ref.forward(bound, &adj, x1v));
-                let z2 = t.add(ae_ref.encode(bound, x2v), gcn_ref.forward(bound, &adj, x2v));
+            let z1 = t.add(ae.encode(bound, x1v), gcn.forward(bound, &adj, x1v));
+            let z2 = t.add(ae.encode(bound, x2v), gcn.forward(bound, &adj, x2v));
 
-                // Cross-view feature-correlation matrix (latent × latent)
-                // over L2-normalized *columns*; target: identity.
-                let n1 = normalize_cols(t, z1);
-                let n2 = normalize_cols(t, z2);
-                let s_f = t.matmul(t.transpose(n1), n2);
-                let eye = t.constant(Matrix::identity(latent));
-                let corr_loss = t.mean(t.square(t.sub(s_f, eye)));
+            // Cross-view feature-correlation matrix (latent × latent) over
+            // L2-normalized *columns*; target: identity.
+            let n1 = normalize_cols(t, z1);
+            let n2 = normalize_cols(t, z2);
+            let s_f = t.matmul(t.transpose(n1), n2);
+            let eye = t.constant(Matrix::identity(latent));
+            let corr_loss = t.mean(t.square(t.sub(s_f, eye)));
 
-                // Clustering on the mean fused view.
-                let fused = t.scale(t.add(z1, z2), 0.5);
-                let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
-                q_val = t.value(q);
-                let p = target_distribution(&q_val);
-                let kl = kl_div(t, &p, q);
+            // Clustering on the mean fused view.
+            let fused = t.scale(t.add(z1, z2), 0.5);
+            let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
+            let q_val = t.value(q);
+            let p = target_distribution(&q_val);
+            let kl = kl_div(t, &p, q);
 
-                let recon = ae_ref.decode(bound, ae_ref.encode(bound, xv));
-                let re = mse(t, xv, recon);
-                re_val = t.value(re)[(0, 0)];
-                kl_val = kl_div_value(&p, &q_val);
-                t.add(t.add(re, t.scale(kl, 0.1)), t.scale(corr_loss, 1.0))
-            });
-            if observer.observe(epoch, re_val, kl_val, loss_val, &q_val).should_abort() {
-                break;
+            let recon = ae.decode(bound, ae.encode(bound, xv));
+            let re = mse(t, xv, recon);
+            Objective {
+                loss: t.add(t.add(re, t.scale(kl, 0.1)), t.scale(corr_loss, 1.0)),
+                re_loss: t.value(re)[(0, 0)],
+                ce_loss: None,
+                kl_pq: kl_div_value(&p, &q_val),
+                assign: q_val,
+                keep: (),
             }
-            out.re_loss.push(re_val);
-            out.kl_pq.push(kl_val);
-            final_q = q_val;
-        }
-
-        out.labels = final_q.argmax_rows();
-        let (health, convergence) = observer.finish();
-        out.health = health;
-        out.convergence = convergence;
-        out
+        });
+        trained.into()
     }
 }
 
@@ -167,6 +147,6 @@ mod tests {
         let cfg = DeepConfig { latent_dim: 4, pretrain_epochs: 4, epochs: 8, ..Default::default() };
         let out = Dcrn::new(cfg).fit(&g.x, 2, &mut rng(4));
         assert_eq!(out.labels.len(), 30);
-        assert_eq!(out.re_loss.len(), 8);
+        assert_eq!(out.history.re_loss.len(), 8);
     }
 }

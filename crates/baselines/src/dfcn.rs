@@ -11,14 +11,12 @@ use std::rc::Rc;
 
 use graph::{gcn_adjacency, Csr, Gcn};
 use nn::loss::{kl_div, kl_div_value, mse};
-use nn::{Activation, Adam, Autoencoder, Params};
+use nn::{Activation, Autoencoder, Params};
 use rand::rngs::StdRng;
-use tabledc::target_distribution;
+use tabledc::{target_distribution, Objective};
 use tensor::Matrix;
 
-use crate::common::{
-    kmeans_centers, student_t_assignments, train_step, ClusterOutput, DeepConfig, EpochObserver,
-};
+use crate::common::{kmeans_centers, student_t_assignments, ClusterOutput, DeepConfig};
 
 /// DFCN model configuration.
 #[derive(Debug, Clone, Default)]
@@ -55,65 +53,42 @@ impl Dfcn {
         let z0 = ae.embed(&params, x);
         let centers = params.register(kmeans_centers(&z0, k, rng));
 
-        let mut adam = Adam::new(cfg.lr);
-        let mut out = ClusterOutput::from_labels(vec![0; x.rows()]);
-        let smoothed = {
-            // Â·X — the IGAE reconstruction target.
-            adj.matmul_dense(x)
-        };
-        let mut final_q = Matrix::zeros(x.rows(), k);
+        // Â·X — the IGAE reconstruction target.
+        let smoothed = adj.matmul_dense(x);
+        let trained = cfg.trainer("dfcn", k, Some(centers)).run(&mut params, |t, bound, _| {
+            let xv = t.constant(x.clone());
+            let z_ae = ae.encode(bound, xv);
+            let recon = ae.decode(bound, z_ae);
+            let z_gcn = gcn.forward(bound, &adj, xv);
 
-        let mut observer = EpochObserver::new("dfcn", k);
-        for epoch in 0..cfg.epochs {
-            let adj = adj.clone();
-            let ae_ref = &ae;
-            let gcn_ref = &gcn;
-            let mut q_val = Matrix::zeros(1, 1);
-            let mut re_val = 0.0;
-            let mut kl_val = 0.0;
-            let loss_val = train_step(&mut params, &mut adam, |t, bound| {
-                let xv = t.constant(x.clone());
-                let z_ae = ae_ref.encode(bound, xv);
-                let recon = ae_ref.decode(bound, z_ae);
-                let z_gcn = gcn_ref.forward(bound, &adj, xv);
+            // Gated fusion: z = g∘z_ae + (1−g)∘z_gcn with g = σ(gate)
+            // broadcast across rows.
+            let g_row = t.sigmoid(bound.var(gate));
+            let ones = t.constant(Matrix::ones(x.rows(), 1));
+            let g_full = t.matmul(ones, g_row);
+            let fused =
+                t.add(t.mul(g_full, z_ae), t.mul(t.add_scalar(t.neg(g_full), 1.0), z_gcn));
 
-                // Gated fusion: z = g∘z_ae + (1−g)∘z_gcn with g = σ(gate)
-                // broadcast across rows.
-                let g_row = t.sigmoid(bound.var(gate));
-                let ones = t.constant(Matrix::ones(x.rows(), 1));
-                let g_full = t.matmul(ones, g_row);
-                let fused = t.add(
-                    t.mul(g_full, z_ae),
-                    t.mul(t.add_scalar(t.neg(g_full), 1.0), z_gcn),
-                );
-
-                let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
-                q_val = t.value(q);
-                let p = target_distribution(&q_val);
-                let kl = kl_div(t, &p, q);
-                let re_ae = mse(t, xv, recon);
-                // GCN view reconstructs the smoothed input from its latent
-                // via the decoder (shared decoder, as in the fusion idea).
-                let recon_g = ae_ref.decode(bound, z_gcn);
-                let sm = t.constant(smoothed.clone());
-                let re_gcn = mse(t, sm, recon_g);
-                re_val = t.value(re_ae)[(0, 0)];
-                kl_val = kl_div_value(&p, &q_val);
-                t.add(t.add(re_ae, t.scale(re_gcn, 0.1)), t.scale(kl, 0.1))
-            });
-            if observer.observe(epoch, re_val, kl_val, loss_val, &q_val).should_abort() {
-                break;
+            let q = student_t_assignments(t, fused, bound.var(centers), 1.0);
+            let q_val = t.value(q);
+            let p = target_distribution(&q_val);
+            let kl = kl_div(t, &p, q);
+            let re_ae = mse(t, xv, recon);
+            // GCN view reconstructs the smoothed input from its latent via
+            // the decoder (shared decoder, as in the fusion idea).
+            let recon_g = ae.decode(bound, z_gcn);
+            let sm = t.constant(smoothed.clone());
+            let re_gcn = mse(t, sm, recon_g);
+            Objective {
+                loss: t.add(t.add(re_ae, t.scale(re_gcn, 0.1)), t.scale(kl, 0.1)),
+                re_loss: t.value(re_ae)[(0, 0)],
+                ce_loss: None,
+                kl_pq: kl_div_value(&p, &q_val),
+                assign: q_val,
+                keep: (),
             }
-            out.re_loss.push(re_val);
-            out.kl_pq.push(kl_val);
-            final_q = q_val;
-        }
-
-        out.labels = final_q.argmax_rows();
-        let (health, convergence) = observer.finish();
-        out.health = health;
-        out.convergence = convergence;
-        out
+        });
+        trained.into()
     }
 }
 
@@ -144,7 +119,7 @@ mod tests {
         );
         let cfg = DeepConfig { latent_dim: 4, pretrain_epochs: 5, epochs: 12, ..Default::default() };
         let out = Dfcn::new(cfg).fit(&g.x, 2, &mut rng(4));
-        assert_eq!(out.re_loss.len(), 12);
-        assert_eq!(out.kl_pq.len(), 12);
+        assert_eq!(out.history.re_loss.len(), 12);
+        assert_eq!(out.history.kl_pq.len(), 12);
     }
 }

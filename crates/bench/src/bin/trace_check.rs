@@ -26,17 +26,18 @@
 //! * when any line carries a `run_id` it is a non-empty string and every
 //!   stamped line agrees on it — two ids in one file means two runs'
 //!   traces were interleaved;
-//! * per-epoch fit events (`tabledc.epoch`, `tabledc.diag`,
-//!   `baseline.epoch`, `baseline.diag`) carry numeric `fit` and `epoch`
-//!   ids, and `epoch` is strictly increasing within each `(event, fit)`
-//!   stream — the fit id disambiguates restarts, so a repeated or
-//!   backwards epoch means a corrupted loop;
-//! * `tabledc.diag`/`baseline.diag` events carry the full structural
-//!   metric set (`share_entropy`, `min_share`, `max_share`,
-//!   `delta_label_frac`, `mean_margin`, `centroid_drift`), all finite,
-//!   with the share/fraction metrics in `[0, 1]` and
-//!   `min_share <= max_share`; `tabledc.epoch` keeps its
-//!   `delta_label_frac` in `[0, 1]` too;
+//! * the training loop's events (`train.epoch`, `train.diag`,
+//!   `train.convergence`) carry a non-empty string `method` and a numeric
+//!   `fit` id, whichever of the deep methods emitted them;
+//! * the per-epoch events (`train.epoch`, `train.diag`) carry a numeric
+//!   `epoch`, strictly increasing within each `(event, fit)` stream — the
+//!   fit id disambiguates restarts, so a repeated or backwards epoch
+//!   means a corrupted loop;
+//! * `train.diag` events carry the full structural metric set
+//!   (`share_entropy`, `min_share`, `max_share`, `delta_label_frac`,
+//!   `mean_margin`, `centroid_drift`), all finite, with the
+//!   share/fraction metrics in `[0, 1]` and `min_share <= max_share`;
+//!   `train.epoch` keeps its `delta_label_frac` in `[0, 1]` too;
 //! * any `required-event` names passed after the file each appear at
 //!   least once.
 //!
@@ -194,8 +195,18 @@ fn main() {
                 None => run_id = Some((id.to_string(), n)),
             }
         }
-        if matches!(event, "tabledc.epoch" | "tabledc.diag" | "baseline.epoch" | "baseline.diag") {
-            check_fit_epoch(&value, event, n, &mut fit_epochs);
+        if matches!(event, "train.epoch" | "train.diag" | "train.convergence") {
+            let method = value.get("method").and_then(Json::as_str).unwrap_or("");
+            if method.is_empty() {
+                fail(&format!("line {n}: {event} without string method"));
+            }
+            if event == "train.convergence" {
+                if value.get("fit").and_then(Json::as_f64).is_none() {
+                    fail(&format!("line {n}: {event} without numeric fit id"));
+                }
+            } else {
+                check_fit_epoch(&value, event, n, &mut fit_epochs);
+            }
         }
         match event {
             "nn.grad_norm" => {
@@ -219,15 +230,15 @@ fn main() {
                     fail(&format!("line {n}: health.violation without numeric epoch"));
                 }
             }
-            "tabledc.diag" | "baseline.diag" => check_diag_metrics(&value, event, n),
-            "tabledc.epoch" => {
+            "train.diag" => check_diag_metrics(&value, event, n),
+            "train.epoch" => {
                 let frac =
                     value.get("delta_label_frac").and_then(Json::as_f64).unwrap_or_else(|| {
-                        fail(&format!("line {n}: tabledc.epoch without numeric delta_label_frac"))
+                        fail(&format!("line {n}: train.epoch without numeric delta_label_frac"))
                     });
                 if !(0.0..=1.0).contains(&frac) {
                     fail(&format!(
-                        "line {n}: tabledc.epoch delta_label_frac = {frac} outside [0, 1]"
+                        "line {n}: train.epoch delta_label_frac = {frac} outside [0, 1]"
                     ));
                 }
             }

@@ -344,11 +344,11 @@ pub fn fig5(opts: RunOptions) -> Fig5Result {
     curves.push(("TableDC".to_string(), fit.history.re_loss, fit.history.kl_pq));
 
     let sdcn = Sdcn::new(deep.clone()).fit(&dataset.x, dataset.k, &mut rng);
-    curves.push(("SDCN".to_string(), sdcn.re_loss, sdcn.kl_pq));
+    curves.push(("SDCN".to_string(), sdcn.history.re_loss, sdcn.history.kl_pq));
     let dfcn = Dfcn::new(deep.clone()).fit(&dataset.x, dataset.k, &mut rng);
-    curves.push(("DFCN".to_string(), dfcn.re_loss, dfcn.kl_pq));
+    curves.push(("DFCN".to_string(), dfcn.history.re_loss, dfcn.history.kl_pq));
     let edesc = Edesc::new(deep).fit(&dataset.x, dataset.k, &mut rng);
-    curves.push(("EDESC".to_string(), edesc.re_loss, edesc.kl_pq));
+    curves.push(("EDESC".to_string(), edesc.history.re_loss, edesc.history.kl_pq));
 
     Fig5Result { curves }
 }

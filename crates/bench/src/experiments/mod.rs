@@ -1,6 +1,6 @@
 //! One module per paper table/figure. Every function takes [`RunOptions`]
-//! and returns a printable result, so the `repro` binary, the integration
-//! tests, and the criterion benches all drive the same code.
+//! and returns a printable result, so the `repro` binary and the
+//! integration tests drive the same code.
 
 pub mod ablations;
 pub mod figures;

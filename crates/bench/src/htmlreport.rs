@@ -620,11 +620,11 @@ mod tests {
 {\"ts_ms\":1.0,\"event\":\"span.enter\",\"span\":\"epoch\",\"thread\":1}\n\
 {\"ts_ms\":4.0,\"event\":\"span.exit\",\"span\":\"epoch\",\"thread\":1}\n\
 {\"ts_ms\":10.0,\"event\":\"span.exit\",\"span\":\"fit\",\"thread\":1}\n\
-{\"ts_ms\":10.0,\"event\":\"tabledc.diag\",\"epoch\":0}\n";
+{\"ts_ms\":10.0,\"event\":\"train.diag\",\"epoch\":0}\n";
         let t = summarize_trace(trace).expect("trace parses");
         assert_eq!(t.run_id.as_deref(), Some("r1"));
         assert_eq!(t.lines, 5);
-        assert_eq!(t.events.get("tabledc.diag"), Some(&1));
+        assert_eq!(t.events.get("train.diag"), Some(&1));
         let fit = &t.spans["fit"];
         assert_eq!(fit.calls, 1);
         assert!((fit.total_ms - 10.0).abs() < 1e-9);
@@ -634,7 +634,7 @@ mod tests {
 
         let html = render(&manifest(), None, Some(&t));
         assert!(html.contains("id=\"profile\""));
-        assert!(html.contains("tabledc.diag"));
+        assert!(html.contains("train.diag"));
     }
 
     #[test]

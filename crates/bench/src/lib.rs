@@ -7,8 +7,8 @@
 //!   Figures 2–5) plus the extra ablations of DESIGN.md §5.
 //!
 //! The `repro` binary drives these (`cargo run --release -p bench --bin
-//! repro -- all`); the criterion benches in `benches/` time representative
-//! slices of each experiment.
+//! repro -- all`). Performance is measured by the separate `perfbench/`
+//! benchmark at the repository root.
 
 pub mod experiments;
 pub mod htmlreport;

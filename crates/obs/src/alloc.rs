@@ -193,8 +193,12 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 mod tests {
     use super::*;
 
+    /// Tracking is a process-wide switch: the tests that flip it take turns.
+    static TRACKING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn tracking_attributes_bytes_to_the_active_span() {
+        let _tracking = TRACKING.lock().unwrap_or_else(|e| e.into_inner());
         crate::test_support::with_sink_disabled(|| {
             set_alloc_tracking(true);
             let before = {
@@ -224,6 +228,7 @@ mod tests {
 
     #[test]
     fn tracking_off_is_inert() {
+        let _tracking = TRACKING.lock().unwrap_or_else(|e| e.into_inner());
         set_alloc_tracking(false);
         let v: Vec<u8> = vec![0; 1024];
         std::hint::black_box(&v);

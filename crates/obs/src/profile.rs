@@ -38,6 +38,8 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use crate::sink::{self, Scoped};
+
 pub(crate) type NodeId = u32;
 
 /// The synthetic root every top-level span hangs off (also the slot that
@@ -169,33 +171,42 @@ pub(crate) fn exit(id: NodeId, elapsed_ns: u64) {
     }
 }
 
-/// A capture of the innermost active span, cheap to copy across threads.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanContext(NodeId);
-
-/// Captures the innermost active span on the calling thread. Pair with
-/// [`enter_context`] on the receiving thread so spawned work nests under
-/// its logical parent. With no span active, the context is the root (and
-/// re-entering it is a no-op nesting-wise).
-pub fn current_context() -> SpanContext {
-    SpanContext(CURRENT.with(Cell::get))
+/// A capture of the innermost active span and of the thread's event-sink
+/// override, cheap to clone across threads.
+#[derive(Clone)]
+pub struct SpanContext {
+    node: NodeId,
+    sink: Option<Scoped>,
 }
 
-/// RAII guard restoring the previous ambient span on drop.
+/// Captures the innermost active span and the sink override on the
+/// calling thread. Pair with [`enter_context`] on the receiving thread so
+/// spawned work nests under its logical parent and writes its events
+/// where the spawner does. With no span active, the context is the root
+/// (and re-entering it is a no-op nesting-wise).
+pub fn current_context() -> SpanContext {
+    SpanContext { node: CURRENT.with(Cell::get), sink: sink::current_scope() }
+}
+
+/// RAII guard restoring the previous ambient span and sink override on
+/// drop.
 #[must_use = "bind to a variable; dropping immediately removes the context"]
 pub struct ContextGuard {
     node: NodeId,
     prev: NodeId,
+    prev_sink: Option<Scoped>,
 }
 
-/// Installs `ctx` as the ambient parent for spans created on this thread
-/// until the guard drops. Used by the runtime pool at task boundaries; the
-/// frame itself is never timed or recorded.
+/// Installs `ctx` as the ambient parent for spans created on this thread,
+/// and its sink override for events emitted here, until the guard drops.
+/// Used by the runtime pool at task boundaries; the frame itself is never
+/// timed or recorded.
 pub fn enter_context(ctx: SpanContext) -> ContextGuard {
     let prev = CURRENT.with(Cell::get);
-    STACK.with(|s| s.borrow_mut().push(Frame { node: ctx.0, child_ns: 0, context: true }));
-    CURRENT.with(|c| c.set(ctx.0));
-    ContextGuard { node: ctx.0, prev }
+    STACK.with(|s| s.borrow_mut().push(Frame { node: ctx.node, child_ns: 0, context: true }));
+    CURRENT.with(|c| c.set(ctx.node));
+    let prev_sink = sink::set_scope(ctx.sink);
+    ContextGuard { node: ctx.node, prev, prev_sink }
 }
 
 impl Drop for ContextGuard {
@@ -207,6 +218,7 @@ impl Drop for ContextGuard {
             }
         });
         CURRENT.with(|c| c.set(self.prev));
+        sink::set_scope(self.prev_sink.take());
     }
 }
 

@@ -14,12 +14,19 @@
 //! so timestamps are monotonically non-decreasing across the whole trace
 //! even when many threads emit concurrently — `trace_check` enforces
 //! this.
+//!
+//! A thread can override the process sink for a scope ([`test_support`]):
+//! the override lives in a thread-local and travels with
+//! [`crate::profile::SpanContext`], so `runtime` pool tasks spawned inside
+//! the scope write where their spawner writes. Two concurrent scopes never
+//! see each other's events.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::json;
 
@@ -50,8 +57,31 @@ enum SinkState {
     Disabled,
     Stderr,
     File(BufWriter<File>),
-    /// Test-only in-memory capture (installed via [`test_support`]).
-    Memory(Vec<String>),
+}
+
+/// A thread's override of the process sink (installed via
+/// [`test_support`], inherited through [`crate::profile::SpanContext`]).
+#[derive(Clone)]
+pub(crate) enum Scoped {
+    /// Events are dropped.
+    Disabled,
+    /// Events are appended to this buffer.
+    Capture(Arc<Mutex<Vec<String>>>),
+}
+
+thread_local! {
+    static SCOPED: RefCell<Option<Scoped>> = const { RefCell::new(None) };
+}
+
+/// The calling thread's sink override, if any.
+pub(crate) fn current_scope() -> Option<Scoped> {
+    SCOPED.try_with(|s| s.borrow().clone()).ok().flatten()
+}
+
+/// Installs `scope` as the calling thread's sink override and returns the
+/// previous one.
+pub(crate) fn set_scope(scope: Option<Scoped>) -> Option<Scoped> {
+    SCOPED.try_with(|s| s.replace(scope)).ok().flatten()
 }
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -80,30 +110,36 @@ fn state_from_env() -> SinkState {
     }
 }
 
-/// True when a trace sink is active and [`event`] calls will emit.
+/// True when [`event`] calls on this thread will emit: the thread's
+/// override decides if it has one, the process sink otherwise.
 #[inline]
 pub fn enabled() -> bool {
-    let _ = sink(); // ensure the env var has been read once
-    ENABLED.load(Ordering::Acquire)
+    let scoped = SCOPED
+        .try_with(|s| s.borrow().as_ref().map(|s| matches!(s, Scoped::Capture(_))))
+        .ok()
+        .flatten();
+    scoped.unwrap_or_else(|| {
+        let _ = sink(); // ensure the env var has been read once
+        ENABLED.load(Ordering::Acquire)
+    })
 }
 
-/// Human-readable description of where trace events go.
+/// Human-readable description of where this thread's trace events go.
 pub fn trace_target_description() -> String {
+    match current_scope() {
+        Some(Scoped::Disabled) => return "disabled".to_string(),
+        Some(Scoped::Capture(_)) => return "memory (test)".to_string(),
+        None => {}
+    }
     match &*lock(sink()) {
         SinkState::Disabled => "disabled".to_string(),
         SinkState::Stderr => "stderr".to_string(),
         SinkState::File(_) => format!("file ({})", std::env::var(TRACE_ENV).unwrap_or_default()),
-        SinkState::Memory(_) => "memory (test)".to_string(),
     }
 }
 
-/// Stamps `ts_ms` and writes one event line. The timestamp is taken while
-/// holding the sink lock so lines land in the file in timestamp order.
-fn write_event(tail: &str) {
-    let mut state = lock(sink());
-    if matches!(*state, SinkState::Disabled) {
-        return;
-    }
+/// One event line: `ts_ms` stamped now, the run id, then `tail`.
+fn line(tail: &str) -> String {
     let mut line = String::with_capacity(tail.len() + 64);
     line.push_str("{\"ts_ms\":");
     json::number_into(&mut line, crate::now_ms());
@@ -113,14 +149,30 @@ fn write_event(tail: &str) {
     line.push(',');
     line.push_str(tail);
     line.push('}');
+    line
+}
+
+/// Stamps `ts_ms` and writes one event line to this thread's override or
+/// the process sink. The timestamp is taken while holding the
+/// destination's lock so lines land in timestamp order.
+fn write_event(tail: &str) {
+    match current_scope() {
+        Some(Scoped::Disabled) => return,
+        Some(Scoped::Capture(buf)) => {
+            let mut captured = lock(&buf);
+            captured.push(line(tail));
+            return;
+        }
+        None => {}
+    }
+    let mut state = lock(sink());
     match &mut *state {
         SinkState::Disabled => {}
-        SinkState::Stderr => eprintln!("{line}"),
+        SinkState::Stderr => eprintln!("{}", line(tail)),
         SinkState::File(w) => {
-            let _ = writeln!(w, "{line}");
+            let _ = writeln!(w, "{}", line(tail));
             let _ = w.flush();
         }
-        SinkState::Memory(captured) => captured.push(line),
     }
 }
 
@@ -213,40 +265,41 @@ impl Event {
 
 /// Deterministic sink control for tests.
 ///
-/// All helpers serialize on one process-wide lock so tests that install a
-/// memory sink and tests that assert "no events" cannot race each other
-/// within a test binary.
+/// Both helpers override the sink for the calling thread only, and for the
+/// `runtime` pool tasks it spawns meanwhile; the process sink and other
+/// threads are untouched, so tests running in parallel never see each
+/// other's events. A thread started with `std::thread::spawn` inherits the
+/// override only if it enters the spawner's
+/// [`SpanContext`](crate::profile::SpanContext).
 pub mod test_support {
     use super::*;
 
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    /// Restores the previous override on drop, also when `f` panics.
+    struct Restore(Option<Scoped>);
 
-    fn set_state(state: SinkState) {
-        let enabled = !matches!(state, SinkState::Disabled);
-        *lock(sink()) = state;
-        ENABLED.store(enabled, Ordering::Release);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_scope(self.0.take());
+        }
     }
 
-    /// Runs `f` with an in-memory sink installed (tracing *enabled*),
-    /// returning `f`'s result and the captured JSON lines. The sink is
-    /// restored to disabled afterwards.
+    fn with_scope<R>(scope: Scoped, f: impl FnOnce() -> R) -> R {
+        let _restore = Restore(set_scope(Some(scope)));
+        f()
+    }
+
+    /// Runs `f` with tracing *enabled* into an in-memory buffer, returning
+    /// `f`'s result and the JSON lines it emitted.
     pub fn with_memory_sink<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
-        let _guard = lock(&TEST_LOCK);
-        set_state(SinkState::Memory(Vec::new()));
-        let result = f();
-        let lines = match std::mem::replace(&mut *lock(sink()), SinkState::Disabled) {
-            SinkState::Memory(captured) => captured,
-            _ => Vec::new(),
-        };
-        ENABLED.store(false, Ordering::Release);
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let result = with_scope(Scoped::Capture(Arc::clone(&buf)), f);
+        let lines = std::mem::take(&mut *lock(&buf));
         (result, lines)
     }
 
-    /// Runs `f` with the sink forced off, regardless of `TABLEDC_TRACE`.
+    /// Runs `f` with tracing off, regardless of `TABLEDC_TRACE`.
     pub fn with_sink_disabled<R>(f: impl FnOnce() -> R) -> R {
-        let _guard = lock(&TEST_LOCK);
-        set_state(SinkState::Disabled);
-        f()
+        with_scope(Scoped::Disabled, f)
     }
 }
 
@@ -294,7 +347,9 @@ mod tests {
         let ((), lines) = test_support::with_memory_sink(|| {
             let threads: Vec<_> = (0..4)
                 .map(|t| {
+                    let ctx = crate::profile::current_context();
                     std::thread::spawn(move || {
+                        let _ctx = crate::profile::enter_context(ctx);
                         for i in 0..50u64 {
                             event("mono.test").u64("t", t).u64("i", i).emit();
                         }
@@ -335,6 +390,37 @@ mod tests {
         // run_id sits between ts_ms and the event name, on every line.
         assert!(line.starts_with("{\"ts_ms\":"));
         assert!(line.contains(",\"run_id\":\"unit-run-1\",\"event\":"));
+    }
+
+    #[test]
+    fn concurrent_captures_see_only_their_own_events() {
+        let ((), outer) = test_support::with_memory_sink(|| {
+            let other = std::thread::spawn(|| {
+                test_support::with_memory_sink(|| event("scope.other").emit()).1
+            });
+            event("scope.mine").emit();
+            let inner = other.join().expect("capturing thread");
+            assert_eq!(inner.len(), 1);
+            assert!(inner[0].contains("\"scope.other\""));
+            // A thread that does not enter this context is not captured.
+            std::thread::spawn(|| event("scope.stray").emit()).join().expect("stray thread");
+        });
+        assert_eq!(outer.len(), 1, "{outer:?}");
+        assert!(outer[0].contains("\"scope.mine\""));
+    }
+
+    #[test]
+    fn disabled_scope_nests_inside_a_capture_and_restores_it() {
+        let ((), lines) = test_support::with_memory_sink(|| {
+            test_support::with_sink_disabled(|| {
+                assert!(!enabled());
+                event("hidden").emit();
+            });
+            assert!(enabled());
+            event("visible").emit();
+        });
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].contains("\"visible\""));
     }
 
     #[test]

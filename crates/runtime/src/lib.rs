@@ -72,6 +72,10 @@ pub fn global() -> &'static ThreadPool {
 mod tests {
     use super::*;
 
+    /// The `pool.*` gauges are process-wide: the two tests that write and
+    /// read them take turns.
+    static POOL_GAUGES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn global_pool_is_initialized_once_and_usable() {
         let a = global() as *const ThreadPool;
@@ -100,6 +104,7 @@ mod tests {
             })
             .unwrap()
         };
+        let _gauges = POOL_GAUGES.lock().unwrap_or_else(|e| e.into_inner());
         let untraced = obs::test_support::with_sink_disabled(|| reduce(&ThreadPool::new(1)));
         let (traced, _lines) = obs::test_support::with_memory_sink(|| {
             obs::profile::set_alloc_tracking(true);
@@ -126,8 +131,8 @@ mod tests {
                 s.spawn(|| {});
             }
         });
-        // The sink-control lock also serializes against the traced test
-        // above, whose scope exits write the same pool.* gauges.
+        // The traced test above writes the same gauges on its scope exits.
+        let _gauges = POOL_GAUGES.lock().unwrap_or_else(|e| e.into_inner());
         let (threads, tasks, ratio) = obs::test_support::with_sink_disabled(|| {
             pool.record_stats();
             let registry = obs::registry();

@@ -21,9 +21,9 @@
 //! Everything here is *pure observation*: nothing feeds back into
 //! training, so diagnostics on/off cannot perturb labels or metrics.
 //!
-//! The same tracker serves TableDC's training loop and the deep baselines
-//! (via `baselines::common`); both stamp their per-epoch trace events with
-//! a process-wide **fit id** ([`next_fit_id`]) so `trace_check` can verify
+//! The same tracker serves every method of the shared training loop
+//! ([`crate::train`]), which stamps the per-epoch trace events with a
+//! process-wide **fit id** ([`next_fit_id`]) so `trace_check` can verify
 //! per-fit epoch monotonicity even when one process runs many fits
 //! (restarts, benchmark sweeps).
 
@@ -322,24 +322,20 @@ impl DiagnosticsTracker {
     }
 }
 
-/// Hands out process-unique fit ids. Stamped as `fit` on per-epoch trace
-/// events (`tabledc.epoch`, `tabledc.diag`, `baseline.epoch`,
-/// `baseline.diag`) so epochs are monotone *per fit* even when one process
-/// runs many fits (restarts, sweeps).
+/// Hands out process-unique fit ids. Stamped as `fit` on the per-epoch
+/// trace events (`train.epoch`, `train.diag`) so epochs are monotone *per
+/// fit* even when one process runs many fits (restarts, sweeps).
 pub fn next_fit_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Emits one `tabledc.diag`-shaped trace event carrying the full metric
-/// set. `method` is stamped for baseline fits so one trace can hold many
-/// methods. No-op when tracing is disabled.
-pub fn emit_diag_event(event_name: &str, method: Option<&str>, fit_id: u64, d: &EpochDiagnostics) {
-    let mut ev = obs::event(event_name);
-    if let Some(m) = method {
-        ev = ev.str("method", m);
-    }
-    ev.u64("fit", fit_id)
+/// Emits one `train.diag` trace event carrying the full metric set,
+/// stamped with the fit's `method` and id. No-op when tracing is disabled.
+pub fn emit_diag_event(method: &str, fit_id: u64, d: &EpochDiagnostics) {
+    obs::event("train.diag")
+        .str("method", method)
+        .u64("fit", fit_id)
         .u64("epoch", d.epoch as u64)
         .f64("share_entropy", d.share_entropy)
         .f64("min_share", d.min_share)
@@ -532,8 +528,8 @@ mod tests {
         let mut t = DiagnosticsTracker::new();
         let d = t.observe(&toy_q(), None);
         let ((), lines) = obs::test_support::with_memory_sink(|| {
-            emit_diag_event("tabledc.diag", None, 7, &d);
-            emit_diag_event("baseline.diag", Some("sdcn"), 8, &d);
+            emit_diag_event("tabledc", 7, &d);
+            emit_diag_event("sdcn", 8, &d);
         });
         assert_eq!(lines.len(), 2);
         let v = obs::json::parse(&lines[0]).expect("valid JSON");

@@ -51,6 +51,7 @@ pub mod distance;
 pub mod init;
 pub mod kernel;
 pub mod model;
+pub mod train;
 
 pub use diagnostics::{
     ConvergenceStatus, ConvergenceVerdict, DiagnosticsTracker, EpochDiagnostics, VerdictRules,
@@ -58,7 +59,8 @@ pub use diagnostics::{
 pub use distance::{Covariance, Distance};
 pub use init::Init;
 pub use kernel::Kernel;
-pub use model::{target_distribution, HealthConfig, History, TableDc, TableDcConfig, TableDcFit};
+pub use model::{target_distribution, TableDc, TableDcConfig, TableDcFit};
+pub use train::{HealthConfig, History, Objective, Trained, Trainer};
 
 #[cfg(test)]
 mod proptests {

@@ -1,21 +1,19 @@
 //! The TableDC model: autoencoder + Mahalanobis/Cauchy self-supervised
 //! clustering head, trained per Algorithm 1.
 
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use autograd::Tape;
+use autograd::{Tape, Var};
 use clustering::metrics::num_clusters;
 use nn::loss::{kl_div, kl_div_value, mse};
-use nn::{Adam, Autoencoder, Optimizer, ParamId, Params};
-use obs::health::{HealthMonitor, HealthReport, Policy, Verdict};
+use nn::{Autoencoder, ParamId, Params};
+use obs::health::{HealthReport, Verdict};
 use rand::rngs::StdRng;
 use tensor::Matrix;
 
-use crate::diagnostics::{self, ConvergenceVerdict, DiagnosticsTracker, VerdictRules};
+use crate::diagnostics::ConvergenceVerdict;
 use crate::distance::Distance;
 use crate::init::Init;
 use crate::kernel::Kernel;
+use crate::train::{HealthConfig, History, Objective, Trainer};
 
 /// Configuration of a TableDC run. Defaults follow §3 and §4.3 of the
 /// paper; the distance/kernel/init fields expose the Table 5 and Figure 4
@@ -54,29 +52,6 @@ pub struct TableDcConfig {
     pub health: HealthConfig,
 }
 
-/// Health-monitoring knobs of a TableDC run.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Explicit policy override; `None` reads `TABLEDC_HEALTH`
-    /// (off/warn/strict, defaulting to warn).
-    pub policy: Option<Policy>,
-    /// Directory diagnostic dumps are written to on a strict-policy abort.
-    pub dump_dir: String,
-    /// The run's base RNG seed, recorded in dumps so an abort is
-    /// reproducible. Metadata only — it never feeds the RNG.
-    pub run_seed: Option<u64>,
-    /// Fault injection: at the start of this epoch, poison the first
-    /// cluster-center entry with NaN. In [`TableDc::fit_best_of`] only the
-    /// *first* restart is poisoned, so best-of-N recovery is testable.
-    pub nan_epoch: Option<usize>,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self { policy: None, dump_dir: "results/dumps".to_string(), run_seed: None, nan_epoch: None }
-    }
-}
-
 impl TableDcConfig {
     /// Scaled-down defaults suitable for CPU experiments.
     pub fn new(k: usize) -> Self {
@@ -102,52 +77,6 @@ impl TableDcConfig {
         self.latent_dim = 100;
         self.encoder_dims = Some(vec![input_dim, 500, 500, 2000, 100]);
         self
-    }
-}
-
-/// Per-epoch training history — the raw series behind Figure 5.
-#[derive(Debug, Clone, Default)]
-pub struct History {
-    /// Reconstruction loss `re_loss` per epoch (Eq. 12).
-    pub re_loss: Vec<f64>,
-    /// Clustering loss `KL(p‖m)` per epoch (Eq. 10).
-    pub ce_loss: Vec<f64>,
-    /// Reported divergence `KL(p‖q)` per epoch (the quantity plotted in
-    /// Figure 5's right panel).
-    pub kl_pq: Vec<f64>,
-    /// Wall-clock milliseconds per joint-training epoch. Always recorded
-    /// (a monotonic-clock read per epoch), independent of whether the
-    /// `TABLEDC_TRACE` event sink is active.
-    pub epoch_ms: Vec<f64>,
-    /// Global gradient L2 norm per epoch (across all parameters).
-    pub grad_norm: Vec<f64>,
-    /// Update-to-parameter-norm ratio `‖Δθ‖/‖θ‖` per epoch.
-    pub update_ratio: Vec<f64>,
-    /// Normalized entropy of the hard-label cluster shares per epoch
-    /// (see [`crate::diagnostics::EpochDiagnostics::share_entropy`]).
-    pub share_entropy: Vec<f64>,
-    /// Smallest cluster share per epoch.
-    pub min_share: Vec<f64>,
-    /// Largest cluster share per epoch (collapse detector).
-    pub max_share: Vec<f64>,
-    /// Fraction of rows whose hard label changed vs the previous epoch.
-    pub delta_label_frac: Vec<f64>,
-    /// Mean `top1 − top2` assignment margin per epoch.
-    pub mean_margin: Vec<f64>,
-    /// Mean L2 centroid step vs the previous epoch.
-    pub centroid_drift: Vec<f64>,
-}
-
-impl History {
-    /// Pushes one epoch of structural diagnostics (the loss/gradient
-    /// series are pushed individually by the training loop).
-    pub fn push_diagnostics(&mut self, d: &diagnostics::EpochDiagnostics) {
-        self.share_entropy.push(d.share_entropy);
-        self.min_share.push(d.min_share);
-        self.max_share.push(d.max_share);
-        self.delta_label_frac.push(d.delta_label_frac);
-        self.mean_margin.push(d.mean_margin);
-        self.centroid_drift.push(d.centroid_drift);
     }
 }
 
@@ -276,189 +205,66 @@ impl TableDc {
         }
     }
 
-    /// Lines 3–12 of Algorithm 1: the joint optimization loop.
+    /// Lines 3–12 of Algorithm 1: joint optimization of
+    /// `α·KL(p‖m) + re_loss` with Adam, in the shared training loop.
     fn train(&mut self, x: &Matrix) -> TableDcFit {
-        let _train_timer = obs::span!("tabledc.train");
-        let cfg = self.config.clone();
-        let mut adam = Adam::new(cfg.lr);
-        let mut history = History::default();
-        let mut final_q = Matrix::zeros(x.rows(), cfg.k);
-        let mut final_m = Matrix::zeros(x.rows(), cfg.k);
-        let mut tracker = DiagnosticsTracker::new();
-        let fit_id = diagnostics::next_fit_id();
-        let epoch_hist = obs::registry().histogram("tabledc.epoch_ms");
-        let re_series = obs::registry().series("tabledc.re_loss");
-        let kl_series = obs::registry().series("tabledc.kl_pq");
-        let grad_series = obs::registry().series("tabledc.grad_norm");
-        let mut monitor = match cfg.health.policy {
-            Some(p) => HealthMonitor::new(p),
-            None => HealthMonitor::from_env(),
+        let cfg = &self.config;
+        let trainer = Trainer {
+            method: "tabledc",
+            k: cfg.k,
+            epochs: cfg.epochs,
+            lr: cfg.lr,
+            health: cfg.health.clone(),
+            centers: Some(self.centers),
+            config: vec![
+                ("k", cfg.k as f64),
+                ("latent_dim", cfg.latent_dim as f64),
+                ("alpha", cfg.alpha),
+                ("lr", cfg.lr),
+                ("pretrain_epochs", cfg.pretrain_epochs as f64),
+                ("epochs", cfg.epochs as f64),
+            ],
         };
-
-        for epoch in 0..cfg.epochs {
-            let epoch_start = std::time::Instant::now();
-            if cfg.health.nan_epoch == Some(epoch) {
-                // Fault injection (tests/diagnostics): poison one center
-                // entry; the NaN propagates through d², q, and the losses
-                // exactly like a real divergence would.
-                self.params.get_mut(self.centers)[(0, 0)] = f64::NAN;
-            }
-            let tape = Tape::new();
-            let bound = self.params.bind(&tape);
+        let (ae, centers) = (&self.ae, self.centers);
+        let trained = trainer.run(&mut self.params, |tape, bound, _| {
             let xv = tape.constant(x.clone());
 
             // Line 4: latent representation z.
-            let z = self.ae.encode(&bound, xv);
-            let recon = self.ae.decode(&bound, z);
+            let z = ae.encode(bound, xv);
+            let recon = ae.decode(bound, z);
 
-            // Lines 5–6: Mahalanobis distances between z and c.
-            let c = bound.var(self.centers);
-            let d2 = cfg
-                .distance
-                .sq_cdist(&tape, z, c)
-                .expect("distance computation failed (non-SPD covariance)");
-
-            // Line 7: Cauchy soft assignments (Eq. 7).
-            let q_raw = cfg.kernel.apply(&tape, d2);
-
-            // Line 8a: normalize q (Eq. 8).
-            let sums = tape.add_scalar(tape.row_sums(q_raw), cfg.eps);
-            let q = tape.div_col_broadcast(q_raw, sums);
-
-            // Line 8b: softmax → predicted probabilities m (Eq. 9).
-            let m = tape.softmax_rows(q);
+            // Lines 5–8: soft assignments q and probabilities m.
+            let (q, m) = assignments(cfg, tape, z, bound.var(centers));
 
             // Line 9: target distribution p from q (Eq. 11).
             let q_val = tape.value(q);
             let p = target_distribution(&q_val);
 
             // Line 10: losses (Eq. 10, 12, 13).
-            let ce = kl_div(&tape, &p, m);
-            let re = mse(&tape, xv, recon);
-            let loss = tape.add(tape.scale(ce, cfg.alpha), re);
-
-            let ce_val = tape.value(ce)[(0, 0)];
-            let re_val = tape.value(re)[(0, 0)];
-            let kl_pq_val = kl_div_value(&p, &q_val);
-
-            // Health checks run before the history pushes and the update so
-            // a strict-policy abort leaves neither a poisoned history entry
-            // nor a poisoned optimizer state behind.
-            let mut abort_tensor: Option<String> = None;
-            for (name, v) in [("re_loss", re_val), ("ce_loss", ce_val), ("kl_pq", kl_pq_val)] {
-                if monitor.check_scalar(name, v, epoch as u64).should_abort() {
-                    abort_tensor = Some(name.to_string());
-                    break;
-                }
+            let ce = kl_div(tape, &p, m);
+            let re = mse(tape, xv, recon);
+            Objective {
+                loss: tape.add(tape.scale(ce, cfg.alpha), re),
+                re_loss: tape.value(re)[(0, 0)],
+                ce_loss: Some(tape.value(ce)[(0, 0)]),
+                kl_pq: kl_div_value(&p, &q_val),
+                assign: q_val,
+                keep: tape.value(m),
             }
-            if abort_tensor.is_none()
-                && monitor.check_slice("q", q_val.as_slice(), epoch as u64).should_abort()
-            {
-                abort_tensor = Some("q".to_string());
-            }
-            if let Some(tensor) = abort_tensor {
-                self.abort_epoch(&mut monitor, &history, &tensor, epoch);
-                break;
-            }
+        });
 
-            // Line 11: backprop and update, instrumented with gradient and
-            // update-norm telemetry.
-            let grads = tape.backward(loss);
-            let stats = adam.step_from_tape_instrumented(&mut self.params, &bound, &grads);
-            if let Some(id) = stats.nonfinite_grad {
-                let tensor = format!("grad.{}", self.params.name(id));
-                let norm = stats
-                    .grad_norms
-                    .iter()
-                    .find(|(i, _)| *i == id)
-                    .map_or(f64::NAN, |&(_, n)| n);
-                if monitor.check_scalar(&tensor, norm, epoch as u64).should_abort() {
-                    self.abort_epoch(&mut monitor, &history, &tensor, epoch);
-                    break;
-                }
-            }
-            stats.record(&self.params);
-            stats.emit_event(epoch as u64);
-
-            history.ce_loss.push(ce_val);
-            history.re_loss.push(re_val);
-            history.kl_pq.push(kl_pq_val);
-            history.grad_norm.push(stats.global_grad_norm);
-            history.update_ratio.push(stats.update_ratio());
-
-            // Per-epoch telemetry: the convergence signal behind Figure 5
-            // plus the structural diagnostics (cluster shares, churn,
-            // margin, centroid drift). Pure observation — nothing here
-            // feeds back into training.
-            let diag = tracker.observe(&q_val, Some(self.params.get(self.centers)));
-            history.push_diagnostics(&diag);
-            re_series.record(re_val);
-            kl_series.record(kl_pq_val);
-            grad_series.record(stats.global_grad_norm);
-            diagnostics::record_series("tabledc.diag", &diag);
-
-            let epoch_ms = epoch_start.elapsed().as_secs_f64() * 1e3;
-            history.epoch_ms.push(epoch_ms);
-            epoch_hist.record(epoch_ms);
-            obs::event("tabledc.epoch")
-                .u64("fit", fit_id)
-                .u64("epoch", epoch as u64)
-                .f64("re_loss", re_val)
-                .f64("ce_loss", ce_val)
-                .f64("kl_pq", kl_pq_val)
-                .f64("delta_label_frac", diag.delta_label_frac)
-                .f64("grad_norm", stats.global_grad_norm)
-                .f64("update_ratio", stats.update_ratio())
-                .f64("epoch_ms", epoch_ms)
-                .emit();
-            diagnostics::emit_diag_event("tabledc.diag", None, fit_id, &diag);
-
-            final_q = q_val;
-            final_m = tape.value(m);
-        }
-
-        if cfg.epochs == 0 {
-            // Still produce assignments from the initialized model.
-            let (q, m) = self.soft_assignments(x);
-            final_q = q;
-            final_m = m;
-        }
-
-        let labels = final_q.argmax_rows();
-        let clusters_used = num_clusters(&labels);
-        let convergence = tracker.verdict(cfg.k, &VerdictRules::default());
-        obs::event("tabledc.convergence")
-            .u64("fit", fit_id)
-            .str("status", convergence.status.as_str())
-            .i64("epoch", convergence.epoch.map_or(-1, |e| e as i64))
-            .str("rule", &convergence.rule)
-            .emit();
+        let q = trained.assign;
+        let m = trained.keep.unwrap_or_else(|| Matrix::zeros(q.rows(), q.cols()));
+        let labels = q.argmax_rows();
         TableDcFit {
+            clusters_used: num_clusters(&labels),
             labels,
-            q: final_q,
-            m: final_m,
-            history,
-            clusters_used,
-            health: monitor.report(),
-            convergence,
+            q,
+            m,
+            history: trained.history,
+            health: trained.health,
+            convergence: trained.convergence,
         }
-    }
-
-    /// Strict-policy abort path: writes the diagnostic dump, emits the
-    /// `health.abort` event followed by the `health.dump` event naming the
-    /// dump file (an invariant `trace_check` enforces), and marks the
-    /// monitor aborted. The caller breaks out of the epoch loop.
-    fn abort_epoch(&self, monitor: &mut HealthMonitor, history: &History, tensor: &str, epoch: usize) {
-        let path = write_health_dump(&self.config, &self.params, monitor, history, tensor, epoch);
-        if let Some(p) = &path {
-            obs::event("health.abort")
-                .str("tensor", tensor)
-                .u64("epoch", epoch as u64)
-                .str("policy", monitor.policy().as_str())
-                .emit();
-            obs::event("health.dump").str("path", p).emit();
-        }
-        monitor.mark_aborted(path);
     }
 
     /// Row-block size for batched inference. Fixed (never derived from the
@@ -507,16 +313,7 @@ impl TableDc {
         let bound = self.params.bind(&tape);
         let xv = tape.constant(x.clone());
         let z = self.ae.encode(&bound, xv);
-        let c = bound.var(self.centers);
-        let d2 = self
-            .config
-            .distance
-            .sq_cdist(&tape, z, c)
-            .expect("distance computation failed");
-        let q_raw = self.config.kernel.apply(&tape, d2);
-        let sums = tape.add_scalar(tape.row_sums(q_raw), self.config.eps);
-        let q = tape.div_col_broadcast(q_raw, sums);
-        let m = tape.softmax_rows(q);
+        let (q, m) = assignments(&self.config, &tape, z, bound.var(self.centers));
         (tape.value(q), tape.value(m))
     }
 
@@ -541,108 +338,18 @@ impl TableDc {
     }
 }
 
-/// Monotone counter making dump filenames unique within a process even
-/// when two aborts land in the same millisecond.
-static DUMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Writes a strict-abort diagnostic dump: offending tensor, policy, seed,
-/// config summary, recorded violations, per-parameter L2 norms, and the
-/// last 8 epochs of metric history. Returns the path, or `None` if neither
-/// the configured dump dir nor the system temp dir is writable.
-fn write_health_dump(
-    config: &TableDcConfig,
-    params: &Params,
-    monitor: &HealthMonitor,
-    history: &History,
-    tensor: &str,
-    epoch: usize,
-) -> Option<String> {
-    let mut out = String::with_capacity(1024);
-    out.push_str("{\n  \"tensor\": ");
-    obs::json::escape_into(&mut out, tensor);
-    let _ = write!(out, ",\n  \"epoch\": {epoch},\n  \"policy\": ");
-    obs::json::escape_into(&mut out, monitor.policy().as_str());
-    out.push_str(",\n  \"seed\": ");
-    match config.health.run_seed {
-        Some(s) => {
-            let _ = write!(out, "{s}");
-        }
-        None => out.push_str("null"),
-    }
-    let _ = write!(
-        out,
-        ",\n  \"config\": {{\"k\": {}, \"latent_dim\": {}, \"alpha\": ",
-        config.k, config.latent_dim
-    );
-    obs::json::number_into(&mut out, config.alpha);
-    out.push_str(", \"lr\": ");
-    obs::json::number_into(&mut out, config.lr);
-    let _ = write!(
-        out,
-        ", \"pretrain_epochs\": {}, \"epochs\": {}}},\n  \"violations\": [",
-        config.pretrain_epochs, config.epochs
-    );
-    for (i, v) in monitor.violations().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("\n    {\"tensor\": ");
-        obs::json::escape_into(&mut out, &v.tensor);
-        out.push_str(", \"kind\": ");
-        obs::json::escape_into(&mut out, v.kind);
-        let _ = write!(out, ", \"index\": {}, \"epoch\": {}}}", v.index, v.epoch);
-    }
-    out.push_str("\n  ],\n  \"param_norms\": {");
-    for (i, id) in params.ids().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("\n    ");
-        obs::json::escape_into(&mut out, params.name(id));
-        out.push_str(": ");
-        obs::json::number_into(&mut out, params.get(id).frobenius_sq().sqrt());
-    }
-    out.push_str("\n  },\n  \"recent\": {");
-    let series: [(&str, &[f64]); 5] = [
-        ("re_loss", &history.re_loss),
-        ("ce_loss", &history.ce_loss),
-        ("kl_pq", &history.kl_pq),
-        ("grad_norm", &history.grad_norm),
-        ("update_ratio", &history.update_ratio),
-    ];
-    for (i, (name, values)) in series.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("\n    ");
-        obs::json::escape_into(&mut out, name);
-        out.push_str(": [");
-        let tail = &values[values.len().saturating_sub(8)..];
-        for (j, v) in tail.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            obs::json::number_into(&mut out, *v);
-        }
-        out.push(']');
-    }
-    out.push_str("\n  }\n}\n");
-
-    let ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64);
-    let seq = DUMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let file = format!("dump-{ms}-{seq}.json");
-    for dir in [std::path::PathBuf::from(&config.health.dump_dir), std::env::temp_dir()] {
-        if std::fs::create_dir_all(&dir).is_err() {
-            continue;
-        }
-        let path = dir.join(&file);
-        if std::fs::write(&path, &out).is_ok() {
-            return Some(path.to_string_lossy().into_owned());
-        }
-    }
-    None
+/// Lines 5–8 of Algorithm 1 on `tape`: Mahalanobis distances between the
+/// latent points `z` and the centers `c` (Eq. 3–6), Cauchy soft assignments
+/// normalized into `q` (Eq. 7–8), and their softmax `m` (Eq. 9).
+fn assignments(cfg: &TableDcConfig, tape: &Tape, z: Var, c: Var) -> (Var, Var) {
+    let d2 = cfg
+        .distance
+        .sq_cdist(tape, z, c)
+        .expect("distance computation failed (non-SPD covariance)");
+    let q_raw = cfg.kernel.apply(tape, d2);
+    let sums = tape.add_scalar(tape.row_sums(q_raw), cfg.eps);
+    let q = tape.div_col_broadcast(q_raw, sums);
+    (q, tape.softmax_rows(q))
 }
 
 /// The target distribution `p` (Eq. 11 with the standard DEC row
@@ -674,6 +381,7 @@ pub fn target_distribution(q: &Matrix) -> Matrix {
 mod tests {
     use super::*;
     use clustering::metrics::{accuracy, adjusted_rand_index};
+    use obs::health::Policy;
     use datagen::{generate_mixture, MixtureConfig};
     use tensor::random::rng;
 
@@ -825,7 +533,7 @@ mod tests {
         assert_eq!(untraced.1.history.kl_pq, traced.1.history.kl_pq);
         // Every epoch produced a parseable event with the documented keys.
         let epoch_lines: Vec<&String> =
-            lines.iter().filter(|l| l.contains("\"tabledc.epoch\"")).collect();
+            lines.iter().filter(|l| l.contains("\"train.epoch\"")).collect();
         assert_eq!(epoch_lines.len(), traced.1.history.re_loss.len());
         for line in epoch_lines {
             let v = obs::json::parse(line).expect("valid JSON line");
@@ -846,10 +554,10 @@ mod tests {
             let delta = v.get("delta_label_frac").unwrap().as_f64().unwrap();
             assert!((0.0..=1.0).contains(&delta));
         }
-        // Every epoch also carries a tabledc.diag event with the full
+        // Every epoch also carries a train.diag event with the full
         // structural metric set, on the same fit id.
         let diag_lines: Vec<&String> =
-            lines.iter().filter(|l| l.contains("\"tabledc.diag\"")).collect();
+            lines.iter().filter(|l| l.contains("\"train.diag\"")).collect();
         assert_eq!(diag_lines.len(), traced.1.history.re_loss.len());
         for line in diag_lines {
             let v = obs::json::parse(line).expect("valid JSON line");
@@ -867,7 +575,7 @@ mod tests {
             }
         }
         // And exactly one convergence event closes the fit.
-        assert_eq!(lines.iter().filter(|l| l.contains("\"tabledc.convergence\"")).count(), 1);
+        assert_eq!(lines.iter().filter(|l| l.contains("\"train.convergence\"")).count(), 1);
         // Diagnostics are observability-only: the traced and untraced fits
         // reached the same verdict through identical structural series.
         assert_eq!(untraced.1.convergence, traced.1.convergence);

@@ -62,7 +62,7 @@ quickstart_out=$(TABLEDC_TRACE="$trace_file" TABLEDC_PROFILE=alloc TABLEDC_FOLDE
     TABLEDC_HEALTH=strict TABLEDC_RUNS_DIR="$runs_dir" \
     cargo run --release -q -p bench --example quickstart)
 cargo run --release -q -p bench --bin trace_check -- "$trace_file" \
-    ae.pretrain_epoch tabledc.epoch tabledc.diag tabledc.convergence series \
+    ae.pretrain_epoch train.epoch train.diag train.convergence series \
     nn.grad_norm span.enter span.exit
 test -s "$folded_file" || { echo "folded export is empty"; exit 1; }
 grep -q '^tabledc\.fit;' "$folded_file" \

@@ -2,6 +2,9 @@
 //! golden HTML page, report determinism, and the trace → diagnostics →
 //! manifest → report pipeline end to end.
 
+use std::collections::BTreeSet;
+
+use baselines::{Dcrn, DeepConfig, Dfcn, Edesc, Sdcn};
 use bench::htmlreport::{render, summarize_trace};
 use bench::ledger::{ConvergenceSummary, HealthSummary, LedgerHistory, RunManifest};
 use datagen::{generate_mixture, MixtureConfig};
@@ -67,7 +70,7 @@ fn fixture_manifests_carry_the_diagnostics_series() {
 }
 
 /// A real (tiny) traced fit drives the whole observatory: the trace
-/// carries run-id-stamped `tabledc.diag` events that `summarize_trace`
+/// carries run-id-stamped `train.diag` events that `summarize_trace`
 /// folds, the fit's verdict lands in a manifest, and the report renders
 /// all of it deterministically.
 #[test]
@@ -89,11 +92,11 @@ fn traced_fit_renders_into_a_report_end_to_end() {
 
     let summary = summarize_trace(&trace_text).expect("trace folds");
     assert!(
-        summary.events.get("tabledc.diag").copied().unwrap_or(0) >= 8,
-        "expected one tabledc.diag per epoch, got {:?}",
-        summary.events.get("tabledc.diag")
+        summary.events.get("train.diag").copied().unwrap_or(0) >= 8,
+        "expected one train.diag per epoch, got {:?}",
+        summary.events.get("train.diag")
     );
-    assert_eq!(summary.events.get("tabledc.convergence"), Some(&1));
+    assert_eq!(summary.events.get("train.convergence"), Some(&1));
 
     let mut manifest = RunManifest::new("observatory-test");
     manifest.health = HealthSummary::from_report(&fit.health);
@@ -124,4 +127,69 @@ fn manifest_round_trip_preserves_convergence_and_diag_series() {
     m.run_id = "observatory-roundtrip".to_string();
     let back = RunManifest::from_json(&m.to_json()).expect("round trip parses");
     assert_eq!(m, back);
+}
+
+/// TableDC and the four deep baselines train in one loop, so a traced fit
+/// of each emits the same training event family — one `fit` id per method
+/// — and their traces together pass `trace_check`.
+#[test]
+fn every_deep_method_emits_the_same_training_events_and_passes_trace_check() {
+    let data = generate_mixture(
+        &MixtureConfig { n: 40, k: 3, dim: 8, separation: 4.0, ..Default::default() },
+        &mut rng(3),
+    );
+    let deep = DeepConfig { latent_dim: 4, pretrain_epochs: 2, epochs: 3, ..Default::default() };
+    let tabledc = TableDcConfig {
+        latent_dim: 4,
+        encoder_dims: Some(vec![8, 12, 4]),
+        pretrain_epochs: 2,
+        epochs: 3,
+        ..TableDcConfig::new(3)
+    };
+    let fit = |method: &str| match method {
+        "tabledc" => drop(TableDc::fit(tabledc.clone(), &data.x, &mut rng(4))),
+        "sdcn" => drop(Sdcn::new(deep.clone()).fit(&data.x, 3, &mut rng(4))),
+        "dfcn" => drop(Dfcn::new(deep.clone()).fit(&data.x, 3, &mut rng(4))),
+        "dcrn" => drop(Dcrn::new(deep.clone()).fit(&data.x, 3, &mut rng(4))),
+        "edesc" => drop(Edesc::new(deep.clone()).fit(&data.x, 3, &mut rng(4))),
+        _ => unreachable!("unknown method {method}"),
+    };
+    let family = ["train.epoch", "train.diag", "train.convergence", "nn.grad_norm"];
+    let mut trace = Vec::new();
+    for method in ["tabledc", "sdcn", "dfcn", "dcrn", "edesc"] {
+        let ((), lines) = obs::test_support::with_memory_sink(|| fit(method));
+        let mut names = BTreeSet::new();
+        let mut fit_ids = BTreeSet::new();
+        for line in &lines {
+            let v = obs::json::parse(line).expect("valid JSON line");
+            let name = v.get("event").and_then(|e| e.as_str()).expect("event name").to_string();
+            if name.starts_with("train.") {
+                assert_eq!(v.get("method").and_then(|m| m.as_str()), Some(method), "{line}");
+                fit_ids.insert(v.get("fit").and_then(|f| f.as_f64()).expect("fit id") as u64);
+            }
+            if name.starts_with("train.") || name == "nn.grad_norm" {
+                names.insert(name);
+            }
+        }
+        assert_eq!(names, family.iter().map(|n| n.to_string()).collect(), "{method}");
+        assert_eq!(fit_ids.len(), 1, "{method}: one fit id, got {fit_ids:?}");
+        let count = |name: &str| lines.iter().filter(|l| l.contains(name)).count();
+        assert_eq!(count("\"train.epoch\""), 3, "{method}");
+        assert_eq!(count("\"nn.grad_norm\""), 3, "{method}");
+        trace.extend(lines);
+    }
+
+    let path = std::env::temp_dir().join(format!("observatory-train-{}.jsonl", std::process::id()));
+    std::fs::write(&path, trace.join("\n")).expect("trace written");
+    let checked = std::process::Command::new(env!("CARGO_BIN_EXE_trace_check"))
+        .arg(&path)
+        .args(family)
+        .output()
+        .expect("trace_check runs");
+    std::fs::remove_file(&path).ok();
+    assert!(
+        checked.status.success(),
+        "trace_check rejected the five methods' trace: {}",
+        String::from_utf8_lossy(&checked.stderr)
+    );
 }
