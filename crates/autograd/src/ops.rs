@@ -9,6 +9,8 @@ use std::rc::Rc;
 
 use tensor::Matrix;
 
+use crate::tape::Values;
+
 /// A constant linear operator that can appear on the left of a matrix
 /// product inside the graph without being differentiated itself.
 ///
@@ -92,7 +94,7 @@ impl Op {
         &self,
         value: &Matrix,
         g: &Matrix,
-        values: &[Matrix],
+        values: &Values<'_>,
         acc: &mut dyn FnMut(usize, Matrix),
     ) {
         match self {
@@ -116,8 +118,8 @@ impl Op {
                 acc(*b, -&ratio);
             }
             Op::MatMul(a, b) => {
-                acc(*a, g.matmul(&values[*b].transpose()));
-                acc(*b, values[*a].transpose().matmul(g));
+                acc(*a, g.matmul_nt(&values[*b]));
+                acc(*b, values[*a].matmul_tn(g));
             }
             Op::AddRowBroadcast(a, b) => {
                 acc(*a, g.clone());
@@ -216,7 +218,7 @@ impl Op {
                         *d = 2.0 * (rs * xv - *d);
                     }
                 }
-                let mut dc = g.transpose().matmul(vx);
+                let mut dc = g.matmul_tn(vx);
                 for j in 0..dc.rows() {
                     let cs = col_s[j];
                     for (d, &cv) in dc.row_mut(j).iter_mut().zip(vc.row(j)) {

@@ -1,6 +1,7 @@
 //! The tape: forward-pass recording and the reverse sweep.
 
 use std::cell::RefCell;
+use std::ops::Index;
 use std::rc::Rc;
 
 use tensor::distance::sq_euclidean_cdist;
@@ -299,28 +300,32 @@ impl Tape {
         let mut grads: Vec<Option<Matrix>> = vec![None; nodes.len()];
         grads[loss.0] = Some(Matrix::ones(1, 1));
 
-        // Collect values once for the Op::backward interface.
-        // (Borrowing each lazily would fight the RefCell; a straight slice
-        // of values is simpler and the clone below is shallow — we only
-        // build a Vec of references via split access.)
-        let values: Vec<Matrix> = nodes.iter().map(|n| n.value.clone()).collect();
-
+        // The backward rules read node values straight from the tape: the
+        // borrow of `nodes` and the separate `grads` vector never alias.
+        let values = Values(&nodes);
         for id in (0..nodes.len()).rev() {
             let Some(g) = grads[id].take() else { continue };
             let node = &nodes[id];
-            node.op.backward(&node.value, &g, &values, &mut |pid, delta| {
-                match &mut grads[pid] {
-                    Some(existing) => {
-                        debug_assert_eq!(existing.shape(), delta.shape());
-                        *existing = &*existing + &delta;
-                    }
-                    slot @ None => *slot = Some(delta),
-                }
+            node.op.backward(&node.value, &g, &values, &mut |pid, delta| match &mut grads[pid] {
+                Some(existing) => *existing += &delta,
+                slot @ None => *slot = Some(delta),
             });
             grads[id] = Some(g);
         }
 
-        Gradients { grads, shapes: values.iter().map(Matrix::shape).collect() }
+        Gradients { grads, shapes: nodes.iter().map(|n| n.value.shape()).collect() }
+    }
+}
+
+/// Read access to every node's value during the reverse sweep, indexed by
+/// node id.
+pub(crate) struct Values<'a>(&'a [Node]);
+
+impl Index<usize> for Values<'_> {
+    type Output = Matrix;
+
+    fn index(&self, id: usize) -> &Matrix {
+        &self.0[id].value
     }
 }
 
@@ -392,10 +397,14 @@ mod tests {
         let t = Tape::new();
         let x = t.leaf(Matrix::ones(1, 1));
         let y = t.leaf(Matrix::ones(2, 3));
+        // A computed node off the loss path keeps its own shape too.
+        let unused = t.matmul(y, t.leaf(Matrix::ones(3, 4)));
         let loss = t.sum(x);
         let g = t.backward(loss);
         assert_eq!(g.grad(y), Matrix::zeros(2, 3));
         assert!(g.try_grad(y).is_none());
+        assert_eq!(g.grad(unused), Matrix::zeros(2, 4));
+        assert!(g.try_grad(unused).is_none());
     }
 
     #[test]

@@ -6,11 +6,17 @@
 //! heart of TableDC (paper Eq. 3–6), and seeded random construction
 //! ([`random`]).
 //!
-//! Everything is pure safe Rust with no external numerics dependencies; the
-//! hot kernels (matmul, cdist) are written so that LLVM auto-vectorizes the
-//! inner loops.
+//! There are no external numerics dependencies. Matrix products
+//! ([`Matrix::matmul`], [`Matrix::matmul_tn`], [`Matrix::matmul_nt`]) run an
+//! AVX-512F kernel written in `std::arch` intrinsics when the CPU has
+//! `avx512f`, detected at run time, and a scalar `ikj` loop that LLVM
+//! auto-vectorizes otherwise. Both add the products `a[i][p] · b[p][j]` to
+//! `0.0` in ascending `p`, without FMA, so they give bit-identical results.
+//! The private `gemm` module holds all of the crate's `unsafe` code; the
+//! rest is safe Rust.
 
 pub mod distance;
+mod gemm;
 pub mod linalg;
 pub mod matrix;
 pub mod par;

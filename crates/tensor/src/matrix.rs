@@ -6,10 +6,10 @@
 //! repository are dense 2-D embedding matrices, so there is no need for
 //! strides, views, or higher ranks; keeping the layout flat and contiguous
 //! makes the hot kernels (matmul, pairwise distances) cache-friendly and
-//! easy for LLVM to vectorize.
+//! lets the product kernels stream whole rows.
 
 use std::fmt;
-use std::ops::{Add, Div, Index, IndexMut, Mul, Neg, Sub};
+use std::ops::{Add, AddAssign, Div, Index, IndexMut, Mul, Neg, Sub};
 
 /// A dense row-major matrix of `f64`.
 ///
@@ -248,16 +248,34 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
-    /// The kernel is the classic `ikj` loop order so the innermost loop
-    /// streams contiguously through both the output row and the right-hand
-    /// row, which LLVM auto-vectorizes; output row blocks are computed in
-    /// parallel on the [`runtime::global`] pool. Results are bit-identical
-    /// for every thread count.
+    /// Runs the AVX-512F kernel when the CPU has `avx512f` and the scalar
+    /// `ikj` loop otherwise (see [`crate::par::matmul`]); output row blocks
+    /// are computed in parallel on the [`runtime::global`] pool. Every
+    /// element is summed in ascending inner index without FMA, so results
+    /// are bit-identical across kernels and thread counts.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         crate::par::matmul(runtime::global(), self, other)
+    }
+
+    /// `selfᵀ · other` without forming `selfᵀ`; bit-identical to
+    /// `self.transpose().matmul(other)`.
+    ///
+    /// # Panics
+    /// Panics if `self.rows != other.rows`.
+    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        crate::par::matmul_tn(runtime::global(), self, other)
+    }
+
+    /// `self · otherᵀ` without forming `otherᵀ`; bit-identical to
+    /// `self.matmul(&other.transpose())`.
+    ///
+    /// # Panics
+    /// Panics if `self.cols != other.cols`.
+    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        crate::par::matmul_nt(runtime::global(), self, other)
     }
 
     /// Sum of all elements.
@@ -502,6 +520,20 @@ impl_elementwise!(Sub, sub, -);
 impl_elementwise!(Mul, mul, *);
 impl_elementwise!(Div, div, /);
 
+/// In-place elementwise sum; the same arithmetic as `&a + &b` without a
+/// new buffer.
+///
+/// # Panics
+/// Panics on shape mismatch.
+impl AddAssign<&Matrix> for Matrix {
+    fn add_assign(&mut self, rhs: &Matrix) {
+        self.assert_same_shape(rhs, "add_assign");
+        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
+            *a += b;
+        }
+    }
+}
+
 impl Neg for &Matrix {
     type Output = Matrix;
     fn neg(self) -> Matrix {
@@ -585,6 +617,16 @@ mod tests {
         assert_eq!(&b / &a, Matrix::from_rows(&[&[3.0, 2.0]]));
         assert_eq!(&a * 2.0, Matrix::from_rows(&[&[2.0, 4.0]]));
         assert_eq!(-&a, Matrix::from_rows(&[&[-1.0, -2.0]]));
+        let mut c = a.clone();
+        c += &b;
+        assert_eq!(c, &a + &b);
+    }
+
+    #[test]
+    #[should_panic(expected = "add_assign: shape mismatch")]
+    fn add_assign_rejects_shape_mismatch() {
+        let mut a = Matrix::zeros(2, 3);
+        a += &Matrix::zeros(3, 2);
     }
 
     #[test]

@@ -12,51 +12,70 @@
 
 use runtime::{block_rows, par_for_rows, par_join, ThreadPool};
 
+use crate::gemm::{Product, ROW_TILE};
 use crate::matrix::Matrix;
 
 /// Rows below which row-wise maps stay on one thread (scheduling overhead
 /// dominates under this size; the cutoff never affects results).
 const MIN_MAP_ROWS: usize = 64;
 
+/// Floating-point operations a pool task of a matrix product carries at
+/// least (a row costs 2·k·m). 2²⁰ FLOP is about 30 µs of the AVX-512
+/// kernel, above the ~20 µs that splitting a product across the pool
+/// (queueing, waking a worker, joining) cost on a 2-vCPU AVX-512 host;
+/// products below it run inline. The value never affects results.
+const MIN_TASK_FLOP: u64 = 1 << 20;
+
 /// Matrix product `a · b` on an explicit pool.
 ///
-/// The kernel is the classic `ikj` loop order: the innermost loop streams
-/// contiguously through the output row and the right-hand row, and is kept
-/// free of branches so LLVM auto-vectorizes it. Output rows are computed in
-/// disjoint parallel blocks.
+/// The product kernel (the crate's `gemm` module) is an AVX-512F
+/// register-tiled kernel when the CPU has `avx512f`, and the scalar `ikj`
+/// loop otherwise; both add `a[i][p] · b[p][j]` to `0.0` in ascending `p`
+/// with no FMA, so they agree bit for bit. Output rows are computed in
+/// disjoint parallel blocks, so results are bit-identical for every thread
+/// count.
 ///
 /// # Panics
 /// Panics if `a.cols() != b.rows()`.
 pub fn matmul(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "matmul: inner dimensions differ ({}x{} · {}x{})",
-        a.rows(),
-        a.cols(),
-        b.rows(),
-        b.cols()
-    );
+    gemm(pool, Product::nn(a, b))
+}
+
+/// `aᵀ · b` on an explicit pool, without materializing `aᵀ`; bit-identical
+/// to `matmul(pool, &a.transpose(), b)`.
+///
+/// # Panics
+/// Panics if `a.rows() != b.rows()`.
+pub fn matmul_tn(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
+    gemm(pool, Product::tn(a, b))
+}
+
+/// `a · bᵀ` on an explicit pool, without materializing `bᵀ` on the SIMD
+/// path; bit-identical to `matmul(pool, a, &b.transpose())`.
+///
+/// # Panics
+/// Panics if `a.cols() != b.cols()`.
+pub fn matmul_nt(pool: &ThreadPool, a: &Matrix, b: &Matrix) -> Matrix {
+    gemm(pool, Product::nt(a, b))
+}
+
+/// Runs `product` in parallel blocks of whole row tiles; all but the last
+/// carry at least [`MIN_TASK_FLOP`] (the blocking is invisible in the
+/// output). Up to four blocks per thread balance the load; the floor limits
+/// the block count rather than fixing a block size, so no block is a small
+/// leftover.
+fn gemm(pool: &ThreadPool, product: Product<'_>) -> Matrix {
     let _timer = obs::span!("tensor.matmul");
-    let (n, k, m) = (a.rows(), a.cols(), b.cols());
+    let (n, k, m) = product.shape();
     let mut out = Matrix::zeros(n, m);
     if n == 0 || m == 0 || k == 0 {
         return out;
     }
-    // Cheap rows (small k·m) get coarser blocks so per-task work stays
-    // meaningful; the blocking is invisible in the output.
-    let min_rows = (32_768 / (k * m).max(1)).max(8);
-    let block = block_rows(n, pool.threads(), min_rows);
+    let flop = 2 * n as u64 * k as u64 * m as u64;
+    let blocks = (flop / MIN_TASK_FLOP).clamp(1, 4 * pool.threads() as u64) as usize;
+    let block = n.div_ceil(blocks).next_multiple_of(ROW_TILE);
     par_for_rows(pool, out.as_mut_slice(), m, block, |first_row, chunk| {
-        for (r, out_row) in chunk.chunks_exact_mut(m).enumerate() {
-            let a_row = a.row(first_row + r);
-            for (p, &av) in a_row.iter().enumerate() {
-                let b_row = b.row(p);
-                for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                    *o += av * bv;
-                }
-            }
-        }
+        product.rows_into(first_row, chunk);
     });
     out
 }
@@ -77,7 +96,7 @@ pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
         || x.row_iter().map(|r| r.iter().map(|v| v * v).sum()).collect(),
         || y.row_iter().map(|r| r.iter().map(|v| v * v).sum()).collect(),
     );
-    let mut g = matmul(pool, x, &y.transpose());
+    let mut g = matmul_nt(pool, x, y);
     let m = g.cols();
     if m == 0 || g.rows() == 0 {
         return g;
@@ -100,7 +119,7 @@ pub fn sq_euclidean_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
 pub fn cosine_cdist(pool: &ThreadPool, x: &Matrix, y: &Matrix) -> Matrix {
     assert_eq!(x.cols(), y.cols(), "cosine_cdist: feature dims differ");
     let (xn, yn) = par_join(pool, || normalize_rows(pool, x), || normalize_rows(pool, y));
-    let mut sim = matmul(pool, &xn, &yn.transpose());
+    let mut sim = matmul_nt(pool, &xn, &yn);
     map_rows(pool, &mut sim, |row| {
         for s in row {
             *s = (1.0 - s.clamp(-1.0, 1.0)).max(0.0);
